@@ -80,6 +80,7 @@ MeasureConfig(const std::string& name, const SweepPoint& point, int steps)
     config.seed = 1;
     config.graph_rewrites = point.enabled;
     config.rewrites = point.opts;
+    config.tracing = true;  // ops per step come from the trace.
     workload->Setup(config);
 
     workload->RunInference(2);  // plan + warm the buffer pool.

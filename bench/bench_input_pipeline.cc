@@ -121,7 +121,6 @@ RunConfig(const std::string& name, int depth, int producers, int steps,
     auto workload = workloads::WorkloadRegistry::Global().Create(name);
     workloads::WorkloadConfig config;
     config.seed = 42;
-    config.tracing = false;
     config.telemetry = true;
     config.prefetch_depth = depth;
     config.producer_threads = producers;

@@ -50,6 +50,7 @@ Measure(const std::string& name, int steps, bool planner)
     workloads::WorkloadConfig config;
     config.seed = 5;
     config.memory_planner = planner;
+    config.tracing = true;  // step memory stats come from the trace.
     workload->Setup(config);
 
     Measurement m;

@@ -94,7 +94,7 @@ main(int argc, char** argv)
     options.warmup_steps = 1;
     options.train_steps = train_steps;
     options.infer_steps = 0;
-    options.telemetry = !telemetry_dir.empty();
+    options.config.telemetry = !telemetry_dir.empty();
     if (!telemetry_dir.empty()) {
         std::filesystem::create_directories(telemetry_dir);
     }

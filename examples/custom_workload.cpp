@@ -123,6 +123,7 @@ main()
     auto w = workloads::WorkloadRegistry::Global().Create("mlp");
     workloads::WorkloadConfig config;
     config.seed = 7;
+    config.tracing = true;  // the profile below reads the trace.
     w->Setup(config);
     const auto result = w->RunTraining(20);
     std::printf("mlp: %d training steps, mean loss %.4f -> final loss "

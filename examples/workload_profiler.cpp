@@ -87,6 +87,7 @@ main(int argc, char** argv)
     config.seed = 1;
     config.threads = threads;
     config.inter_op_threads = inter_op_threads;
+    config.tracing = true;  // every report below reads the trace.
     workload->Setup(config);
     std::printf("%s: %s\n", workload->name().c_str(),
                 workload->description().c_str());

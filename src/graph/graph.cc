@@ -37,6 +37,9 @@ Graph::AddNode(std::string name, std::string op_type,
     node->inputs = std::move(inputs);
     node->attrs = std::move(attrs);
     node->num_outputs = num_outputs;
+    if (!IsRewriteProduced(unique)) {
+        ++generation_;
+    }
     by_name_[unique] = id;
     nodes_.push_back(std::move(node));
     return id;
@@ -49,7 +52,11 @@ Graph::AddControlEdge(NodeId before, NodeId node)
         node >= num_nodes()) {
         throw std::invalid_argument("Graph::AddControlEdge: id out of range");
     }
-    mutable_node(node).control_inputs.push_back(before);
+    Node& target = mutable_node(node);
+    if (!IsRewriteProduced(target.name)) {
+        ++generation_;
+    }
+    target.control_inputs.push_back(before);
 }
 
 const Node&

@@ -5,6 +5,7 @@
 #ifndef FATHOM_GRAPH_GRAPH_H
 #define FATHOM_GRAPH_GRAPH_H
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -13,6 +14,13 @@
 #include "graph/node.h"
 
 namespace fathom::graph {
+
+/** @return whether @p name marks a node appended by the rewriter. */
+inline bool
+IsRewriteProduced(const std::string& name)
+{
+    return name.rfind("__rw/", 0) == 0;
+}
 
 /**
  * An append-only DAG of operation nodes.
@@ -58,6 +66,14 @@ class Graph {
     /** @return total node count. */
     int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
+    /**
+     * @return a counter bumped by every AddNode and AddControlEdge,
+     * except for rewrite-produced ("__rw/") nodes and control edges
+     * into them: no other node reads those, so no fetch closure
+     * changes. Plan caches key on it.
+     */
+    std::uint64_t generation() const { return generation_; }
+
     /** @return all node ids in insertion order. */
     std::vector<NodeId> AllNodes() const;
 
@@ -75,6 +91,7 @@ class Graph {
   private:
     std::vector<std::unique_ptr<Node>> nodes_;
     std::unordered_map<std::string, NodeId> by_name_;
+    std::uint64_t generation_ = 0;
 };
 
 }  // namespace fathom::graph

@@ -42,12 +42,6 @@ EdgeKey(const Output& edge)
            static_cast<std::uint32_t>(edge.index);
 }
 
-bool
-IsRewriteProduced(const std::string& name)
-{
-    return name.rfind("__rw/", 0) == 0;
-}
-
 /** The whole Verify() pass as a class so the walk state is shared. */
 class Verifier {
   public:
@@ -567,7 +561,7 @@ class Verifier {
      * producer lists, consumer counts, and early-release eligibility —
      * independently from the resolved data edges, and compares them to
      * what the planner resolved (mirrors the derivation in
-     * Session::GetPlan).
+     * runtime::BuildExecPlan).
      */
     void
     LintLiveness()
@@ -644,19 +638,26 @@ class Verifier {
                 }
             }
         }
-        if (plan_->input_producers != nullptr) {
-            if (plan_->input_producers->size() != n) {
-                size_diag("input_producers", plan_->input_producers->size());
+        if (plan_->producer_begin != nullptr &&
+            plan_->producers != nullptr) {
+            const std::vector<std::int32_t>& begin = *plan_->producer_begin;
+            const std::vector<std::int32_t>& flat = *plan_->producers;
+            if (begin.size() != n + 1 ||
+                static_cast<std::size_t>(begin[n]) != flat.size()) {
+                size_diag("producer lists",
+                          begin.empty() ? 0 : begin.size() - 1);
             } else {
                 for (std::size_t i = 0; i < n; ++i) {
-                    if ((*plan_->input_producers)[i] != producers[i]) {
+                    const auto first = flat.begin() + begin[i];
+                    const auto last = flat.begin() + begin[i + 1];
+                    if (!std::equal(first, last, producers[i].begin(),
+                                    producers[i].end())) {
                         Diag("liveness", order[i],
                              "producer list: expected " +
                                  std::to_string(producers[i].size()) +
                                  " distinct producer steps, planner "
                                  "resolved " +
-                                 std::to_string(
-                                     (*plan_->input_producers)[i].size()));
+                                 std::to_string(last - first));
                     }
                 }
             }

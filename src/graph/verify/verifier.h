@@ -103,8 +103,8 @@ struct VerifyOptions {
 };
 
 /**
- * Facts about a built execution plan (from Session::GetPlan or a
- * RewriteResult), lent to Verify() for the semantic lints. All
+ * Facts about a built execution plan (from runtime::ExecPlan::Facts or
+ * a RewriteResult), lent to Verify() for the semantic lints. All
  * pointers are borrowed and may be null except `order`; the per-step
  * vectors are parallel to `order`.
  */
@@ -119,8 +119,13 @@ struct PlanFacts {
     const std::vector<char>* inplace = nullptr;
     /** Memory planner's per-step reader count (verified if present). */
     const std::vector<std::int32_t>* consumer_count = nullptr;
-    /** Memory planner's per-step producer lists (verified if present). */
-    const std::vector<std::vector<std::int32_t>>* input_producers = nullptr;
+    /**
+     * Memory planner's per-step producer lists (verified if present),
+     * CSR-style: step i's distinct producer steps are
+     * producers[producer_begin[i] .. producer_begin[i + 1]).
+     */
+    const std::vector<std::int32_t>* producer_begin = nullptr;
+    const std::vector<std::int32_t>* producers = nullptr;
     /** Memory planner's early-release eligibility (verified if present). */
     const std::vector<char>* releasable = nullptr;
 };

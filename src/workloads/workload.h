@@ -50,11 +50,11 @@ struct WorkloadConfig {
 
     /**
      * Per-op execution tracing (timestamps, costs; the input of every
-     * Figs. 1-6 analysis). On by default, matching historical behavior;
-     * turn off for pure-throughput runs — with it off the executor
-     * takes no per-op clock readings at all.
+     * Figs. 1-6 analysis). Off by default: with it off the executor
+     * takes no per-op clock readings at all. Turn it on to read the
+     * session's tracer (the suite harness does).
      */
-    bool tracing = true;
+    bool tracing = false;
 
     /**
      * Process-wide metrics collection (telemetry::MetricsRegistry):

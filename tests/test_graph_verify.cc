@@ -429,7 +429,6 @@ TEST(VerifyOverheadTest, PlanBuildVerificationWithinBudget)
     auto construct = [](bool verify) {
         workloads::WorkloadConfig config;
         config.batch_size = 2;
-        config.tracing = false;
         config.graph_verification = verify;
         auto workload =
             workloads::WorkloadRegistry::Global().Create("alexnet");

@@ -497,7 +497,6 @@ TEST(InputPipelineWorkloadTest, AllWorkloadsBitIdenticalBattery)
                 workloads::WorkloadRegistry::Global().Create(name);
             workloads::WorkloadConfig config;
             config.seed = 11;
-            config.tracing = false;
             config.prefetch_depth = depth;
             config.producer_threads = producers;
             workload->Setup(config);

@@ -342,6 +342,7 @@ TEST_F(InterOpExecutorTest, AllWorkloadsBitIdenticalBattery)
             workloads::WorkloadConfig config;
             config.seed = 11;
             config.inter_op_threads = inter;
+            config.tracing = true;
             workload->Setup(config);
             const float train_loss =
                 workload->RunTraining(1).final_loss;

@@ -722,6 +722,7 @@ TEST_F(RewriteFrameworkTest, SharedAttentionProjectionsMergeInSeq2Seq)
     fathom::workloads::WorkloadConfig config;
     config.seed = 2;
     config.graph_rewrites = false;
+    config.tracing = true;
     w->Setup(config);
 
     w->RunInference(1);

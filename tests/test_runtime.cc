@@ -9,7 +9,9 @@
 #include "ops/register.h"
 #include "runtime/device_model.h"
 #include "runtime/session.h"
+#include "telemetry/metrics.h"
 #include "test_util.h"
+#include "workloads/workload.h"
 
 namespace fathom::runtime {
 namespace {
@@ -207,6 +209,50 @@ TEST_F(RuntimeTest, PlanCacheSurvivesGraphGrowth)
     const Output z = b.Mul(y, y);
     const auto out = session.Run(feeds, {z});
     EXPECT_FLOAT_EQ(out[0].data<float>()[0], 4.0f);
+}
+
+TEST_F(RuntimeTest, EachFetchSetPlansOnce)
+{
+    // The rewriter appends "__rw/" nodes while planning one fetch set;
+    // that must not invalidate the other set's cached plan.
+    workloads::RegisterAllWorkloads();
+    auto workload = workloads::WorkloadRegistry::Global().Create("autoenc");
+    workloads::WorkloadConfig config;
+    config.batch_size = 2;
+    config.telemetry = true;
+    workload->Setup(config);
+    auto& runs = telemetry::MetricsRegistry::Global().GetCounter(
+        "rewrite.runs");
+    const std::uint64_t before = runs.value();
+    const int nodes_before = workload->session().graph().num_nodes();
+    for (int round = 0; round < 2; ++round) {
+        workload->RunTraining(1);
+        workload->RunInference(1);
+    }
+    telemetry::MetricsRegistry::set_enabled(false);
+    EXPECT_GT(workload->session().graph().num_nodes(), nodes_before)
+        << "the rewrites appended no nodes; the case tests nothing";
+    EXPECT_EQ(runs.value() - before, 2u);
+}
+
+TEST_F(RuntimeTest, ControlEdgeIntoPlannedClosureForcesReplan)
+{
+    Session session;
+    auto b = session.MakeBuilder();
+    const Output x = b.Placeholder("x");
+    const Output y = b.Relu(x);
+    const Output w = b.Placeholder("w");
+    const Output t = b.Tanh(w);
+    FeedMap feeds;
+    feeds[x.node] = Tensor::FromVector({1});
+    session.Run(feeds, {y});
+
+    // Ordering y after t pulls t's unfed placeholder into y's closure
+    // without adding a node: a stale cached plan would still run.
+    session.graph().AddControlEdge(t.node, y.node);
+    EXPECT_THROW(session.Run(feeds, {y}), std::invalid_argument);
+    feeds[w.node] = Tensor::FromVector({2});
+    EXPECT_FLOAT_EQ(session.Run(feeds, {y})[0].data<float>()[0], 1.0f);
 }
 
 TEST_F(RuntimeTest, FailingOpReportsNodeName)

@@ -12,16 +12,21 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <random>
 #include <thread>
 #include <vector>
 
+#include "graph/verify/shape_inference.h"
 #include "runtime/checkpoint.h"
 #include "serving/frozen_plan.h"
 #include "serving/serving_runtime.h"
+#include "tensor/buffer_pool.h"
 #include "workloads/workload.h"
 
 namespace fathom::serving {
@@ -35,6 +40,14 @@ using workloads::WorkloadRegistry;
 /** Every future in the shutdown tests gets this long, then the test
  * fails instead of hanging the suite. */
 constexpr auto kFutureTimeout = std::chrono::seconds(60);
+
+char*
+RawBytes(Tensor& t)
+{
+    return t.dtype() == DType::kFloat32
+               ? reinterpret_cast<char*>(t.data<float>())
+               : reinterpret_cast<char*>(t.data<std::int32_t>());
+}
 
 const char*
 RawBytes(const Tensor& t)
@@ -66,7 +79,6 @@ MakeServableWorkload(const std::string& name, std::uint64_t seed = 7,
     // A common batch cap so the fixed-batch models (seq2seq, speech,
     // memnet) can host every tested coalesced size.
     config.batch_size = batch_size;
-    config.tracing = false;
     workload->Setup(config);
     return workload;
 }
@@ -412,6 +424,232 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.workload) + "_width" +
                std::to_string(info.param.inter_op_threads);
     });
+
+// ---- Session vs FrozenPlan ----------------------------------------------
+
+/** Stacks @p requests row by row into name -> [B, ...] feeds. */
+std::map<std::string, Tensor>
+StackRequests(const InferenceSignature& signature,
+              const std::vector<RequestFeeds>& requests)
+{
+    std::map<std::string, Tensor> feeds;
+    const auto rows = static_cast<std::int64_t>(requests.size());
+    for (const TensorSpec& spec : signature.inputs) {
+        std::vector<std::int64_t> dims{rows};
+        dims.insert(dims.end(), spec.example_dims.begin(),
+                    spec.example_dims.end());
+        Tensor batched(spec.dtype, Shape(dims));
+        const std::size_t row_bytes =
+            batched.byte_size() / static_cast<std::size_t>(rows);
+        char* dst = RawBytes(batched);
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+            std::memcpy(dst + i * row_bytes,
+                        RawBytes(requests[i].at(spec.name)), row_bytes);
+        }
+        feeds.emplace(spec.name, std::move(batched));
+    }
+    return feeds;
+}
+
+class SessionVsFrozenConcurrentBattery
+    : public ::testing::TestWithParam<std::string> {};
+
+/**
+ * The determinism contract's "Session vs FrozenPlan" case: the serving
+ * signature's fetches, run by the training session on its live graph
+ * and by the frozen plan on its private copy, are bit-identical at
+ * every inter-op width.
+ */
+TEST_P(SessionVsFrozenConcurrentBattery, FetchesBitIdenticalAtEveryWidth)
+{
+    auto workload = MakeServableWorkload(GetParam());
+    const InferenceSignature signature = workload->ServingSignature();
+    const std::int64_t rows =
+        signature.fixed_batch > 0 ? signature.fixed_batch : 3;
+    std::vector<RequestFeeds> requests;
+    for (std::int64_t i = 0; i < rows; ++i) {
+        requests.push_back(workload->SampleServingRequest());
+    }
+    const auto feeds = StackRequests(signature, requests);
+
+    for (const int width : {1, 2, 4}) {
+        FrozenPlanOptions options;
+        options.inter_op_threads = width;
+        const auto plan = workload->FreezeServingPlan(options);
+        workload->session().SetInterOpThreads(width);
+        const auto from_session =
+            workload->session().RunNamed(feeds, signature.fetches);
+        const auto from_plan = plan->Run(feeds);
+        ASSERT_EQ(from_session.size(), from_plan.size());
+        for (std::size_t o = 0; o < from_plan.size(); ++o) {
+            ExpectBitIdentical(from_session[o], from_plan[o],
+                               GetParam() + " output " +
+                                   signature.output_names[o] +
+                                   " at inter-op width " +
+                                   std::to_string(width));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, SessionVsFrozenConcurrentBattery,
+                         ::testing::Values("seq2seq", "memnet", "speech",
+                                           "autoenc", "residual", "vgg",
+                                           "alexnet", "deepq"),
+                         [](const auto& info) { return info.param; });
+
+/**
+ * A pure test kernel that, while armed, fails on purpose: each
+ * instance waits until `parties` instances are running (so they are
+ * in flight together), sleeps by its `idx` attr (ascending or
+ * descending), and throws. Disarmed, it passes its input through.
+ */
+struct InjectedFailure {
+    static inline std::atomic<bool> armed{false};
+    static inline std::atomic<int> parties{1};
+    static inline std::atomic<bool> reverse{false};
+
+    static inline std::mutex mu;
+    static inline std::condition_variable cv;
+    static inline int arrived = 0;
+    static inline std::uint64_t generation = 0;
+
+    static void
+    Register()
+    {
+        static std::once_flag once;
+        std::call_once(once, [] {
+            graph::OpRegistry::Global().Register(graph::OpDef{
+                "TestInjectedFailure", graph::OpClass::kElementwise,
+                &InjectedFailure::Kernel, nullptr, false});
+            graph::verify::ShapeFnRegistry::Global().Register(
+                "TestInjectedFailure",
+                [](graph::verify::InferenceContext& ctx) {
+                    ctx.set_output(0, ctx.input(0));
+                });
+        });
+    }
+
+    static void
+    Kernel(graph::OpContext& ctx)
+    {
+        if (!armed.load()) {
+            ctx.set_output(0, ctx.input(0));
+            return;
+        }
+        {
+            // A reusable barrier; the timeout only guards the suite
+            // against a hang if the executor stops running steps
+            // concurrently.
+            std::unique_lock<std::mutex> lock(mu);
+            const std::uint64_t gen = generation;
+            if (++arrived >= parties.load()) {
+                arrived = 0;
+                ++generation;
+                cv.notify_all();
+            } else if (!cv.wait_for(lock, std::chrono::seconds(30),
+                                    [gen] { return generation != gen; })) {
+                arrived = 0;
+                ++generation;
+            }
+        }
+        const std::int64_t idx = ctx.node().attr("idx").AsInt();
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(5 * (reverse.load() ? 3 - idx : idx)));
+        throw std::runtime_error("injected failure");
+    }
+};
+
+/** @return what() of the error @p run throws ("" if none). */
+template <typename Fn>
+std::string
+ErrorOf(Fn&& run)
+{
+    try {
+        run();
+    } catch (const std::exception& e) {
+        return e.what();
+    }
+    return "";
+}
+
+/**
+ * Four failing steps in flight at once on four lanes: both runners
+ * surface the lowest plan sequence's error (the one the serial
+ * executor hits first) whichever fails first, return every buffer to
+ * the pool, and run cleanly afterwards.
+ */
+TEST(RunnerFailureConcurrentBattery,
+     LowestSequenceErrorWinsAndRunnersRecover)
+{
+    RegisterAllWorkloads();  // registers the standard ops.
+    InjectedFailure::Register();
+    runtime::Session session(1);
+    auto b = session.MakeBuilder();
+    const graph::Output x = b.Placeholder("x");
+    std::vector<graph::Output> fetches{
+        b.AddN({b.Relu(x), b.Tanh(x), b.Sigmoid(x)})};
+    for (int i = 0; i < 4; ++i) {
+        fetches.push_back({b.AddNode("fail" + std::to_string(i),
+                                     "TestInjectedFailure", {x},
+                                     {{"idx", i}}),
+                           0});
+    }
+    InferenceSignature signature;
+    signature.inputs = {{"x", DType::kFloat32, {4}}};
+    signature.fetches = fetches;
+    for (std::size_t i = 0; i < fetches.size(); ++i) {
+        signature.output_names.push_back("out" + std::to_string(i));
+    }
+
+    Tensor input(DType::kFloat32, Shape{2, 4});
+    input.Fill(0.5f);
+    const std::map<std::string, Tensor> feeds{{"x", input}};
+    auto run_session = [&] { return session.RunNamed(feeds, fetches); };
+    FrozenPlanOptions options;
+    options.inter_op_threads = 4;
+    const auto frozen = FrozenPlan::Freeze(session, signature, options);
+    auto run_frozen = [&] { return frozen->Run(feeds); };
+
+    // Disarmed, the two runners agree; the serial executor names the
+    // lowest-sequence failure once armed.
+    InjectedFailure::armed = false;
+    const auto healthy = run_session();
+    const auto healthy_frozen = run_frozen();
+    ASSERT_EQ(healthy.size(), healthy_frozen.size());
+    for (std::size_t o = 0; o < healthy.size(); ++o) {
+        ExpectBitIdentical(healthy[o], healthy_frozen[o], "healthy run");
+    }
+    InjectedFailure::armed = true;
+    InjectedFailure::parties = 1;
+    const std::string expected = ErrorOf(run_session);
+    ASSERT_NE(expected.find("injected failure"), std::string::npos)
+        << expected;
+
+    session.SetInterOpThreads(4);
+    InjectedFailure::parties = 4;
+    for (const bool reverse : {false, true}) {
+        InjectedFailure::reverse = reverse;
+        for (const auto& [runner, run] :
+             {std::pair<const char*, std::function<std::vector<Tensor>()>>{
+                  "Session", run_session},
+              {"FrozenPlan", run_frozen}}) {
+            SCOPED_TRACE(std::string(runner) +
+                         (reverse ? ", reversed delays" : ""));
+            const std::uint64_t live_before =
+                BufferPool::Global().stats().live_bytes;
+            InjectedFailure::armed = true;
+            EXPECT_EQ(ErrorOf(run), expected);
+            EXPECT_EQ(BufferPool::Global().stats().live_bytes, live_before);
+
+            InjectedFailure::armed = false;
+            const auto again = run();
+            ASSERT_EQ(again.size(), healthy.size());
+            for (std::size_t o = 0; o < again.size(); ++o) {
+                ExpectBitIdentical(again[o], healthy[o], "after failure");
+            }
+        }
+    }
+}
 
 }  // namespace
 }  // namespace fathom::serving

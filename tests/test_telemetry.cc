@@ -245,7 +245,6 @@ TEST(TelemetryOverheadTest, MetricsOffCostsUnderBudgetVsDark)
     auto make = [](bool telemetry) {
         workloads::WorkloadConfig config;
         config.batch_size = 2;
-        config.tracing = false;
         config.telemetry = telemetry;
         auto w = workloads::WorkloadRegistry::Global().Create("alexnet");
         w->Setup(config);
@@ -283,7 +282,7 @@ TEST_P(RooflineTest, ReportsSaneBoundsForGemmBoundOps)
     options.warmup_steps = 1;
     options.train_steps = 2;
     options.infer_steps = 0;
-    options.batch_size = 2;
+    options.config.batch_size = 2;
     const auto traces = core::RunAndTrace(name, options);
     const auto report = analysis::BuildRooflineReport(
         traces.training, traces.warmup_steps, runtime::DeviceSpec::Cpu(1));

@@ -47,6 +47,7 @@ TEST_P(WorkloadTest, BuildsAndRunsInference)
     auto workload = WorkloadRegistry::Global().Create(GetParam());
     WorkloadConfig config;
     config.seed = 3;
+    config.tracing = true;
     workload->Setup(config);
     EXPECT_GT(workload->num_parameters(), 0);
 
@@ -151,7 +152,6 @@ TEST_F(WorkloadTest, ClassifiersLearnAboveChance)
         config.seed = c.seed;
         w->Setup(config);
         ASSERT_TRUE(w->has_accuracy_metric()) << c.name;
-        w->session().tracer().set_enabled(false);
         float best = 0.0f;
         for (int chunk = 0; chunk < c.chunks; ++chunk) {
             w->RunTraining(c.steps_per_chunk);
@@ -181,6 +181,7 @@ TEST_F(WorkloadTest, ResidualInferencePathUsesRunningStats)
     auto w = WorkloadRegistry::Global().Create("residual");
     WorkloadConfig config;
     config.seed = 10;
+    config.tracing = true;
     w->Setup(config);
     w->RunInference(1);
     bool found_inference_bn = false;

@@ -51,7 +51,6 @@ LintWorkload(const std::string& name, std::ostream& out)
     auto workload = workloads::WorkloadRegistry::Global().Create(name);
     workloads::WorkloadConfig config;
     config.batch_size = 2;
-    config.tracing = false;
     workload->Setup(config);
     const runtime::Session& session = workload->session();
 
