@@ -334,6 +334,44 @@ BM_ElementwiseMulBroadcast(benchmark::State& state)
 }
 BENCHMARK(BM_ElementwiseMulBroadcast)->Arg(64)->Arg(1024);
 
+// vgg's bias path at batch 4: each conv output [4,H,W,C] plus its [C]
+// bias, and the bias gradient's reduction back to [C]. Args are
+// (H = W, C) for the five conv blocks.
+void
+BM_BiasAddNHWC(benchmark::State& state)
+{
+    const std::int64_t hw = state.range(0);
+    const std::int64_t c = state.range(1);
+    parallel::ThreadPool pool(1);
+    const Tensor conv = MakeTensor(Shape{4, hw, hw, c}, 17);
+    const Tensor bias = MakeTensor(Shape{c}, 18);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(kernels::BinaryMap(
+            conv, bias, [](float x, float y) { return x + y; }, pool));
+    }
+    state.SetItemsProcessed(state.iterations() * conv.num_elements());
+}
+BENCHMARK(BM_BiasAddNHWC)
+    ->Args({32, 8})->Args({16, 16})->Args({8, 32})->Args({4, 64})
+    ->Args({2, 64});
+
+void
+BM_ReduceToShapeBias(benchmark::State& state)
+{
+    const std::int64_t hw = state.range(0);
+    const std::int64_t c = state.range(1);
+    parallel::ThreadPool pool(1);
+    const Tensor grad = MakeTensor(Shape{4, hw, hw, c}, 19);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            kernels::ReduceToShape(grad, Shape{c}, pool));
+    }
+    state.SetItemsProcessed(state.iterations() * grad.num_elements());
+}
+BENCHMARK(BM_ReduceToShapeBias)
+    ->Args({32, 8})->Args({16, 16})->Args({8, 32})->Args({4, 64})
+    ->Args({2, 64});
+
 void
 BM_ReduceSumLastAxis(benchmark::State& state)
 {

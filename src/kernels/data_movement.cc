@@ -5,7 +5,28 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "kernels/elementwise.h"
+
 namespace fathom::kernels {
+
+namespace {
+
+/** Gathers flat indices [begin, end) of @p walk: dst[flat] = src[off]. */
+template <typename T>
+void
+CopyRows(const BroadcastWalk& walk, std::int64_t begin, std::int64_t end,
+         const T* src, T* dst)
+{
+    const std::int64_t step = walk.stride_a.back();
+    walk.Run(begin, end, [&](std::int64_t flat, std::int64_t n,
+                             std::int64_t off, std::int64_t) {
+        for (std::int64_t i = 0; i < n; ++i) {
+            dst[flat + i] = src[off + i * step];
+        }
+    });
+}
+
+}  // namespace
 
 Tensor
 Transpose(const Tensor& input, const std::vector<int>& perm,
@@ -34,38 +55,19 @@ Transpose(const Tensor& input, const std::vector<int>& perm,
     const Shape out_shape(out_dims);
     Tensor out(input.dtype(), out_shape);
 
-    std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        in_strides[static_cast<std::size_t>(i)] =
-            in_strides[static_cast<std::size_t>(i + 1)] * in_shape.dim(i + 1);
+    // Walk the output with the input as the operand: output dimension
+    // d steps through the input by input dimension perm[d]'s stride.
+    const std::vector<std::int64_t> in_strides = RowMajorStrides(in_shape);
+    std::vector<std::int64_t> src_strides;
+    src_strides.reserve(perm.size());
+    for (int p : perm) {
+        src_strides.push_back(in_strides[static_cast<std::size_t>(p)]);
     }
-    // Stride of output dimension d within the *input* buffer.
-    std::vector<std::int64_t> src_strides(static_cast<std::size_t>(rank));
-    for (int d = 0; d < rank; ++d) {
-        src_strides[static_cast<std::size_t>(d)] =
-            in_strides[static_cast<std::size_t>(perm[static_cast<std::size_t>(d)])];
-    }
-    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        out_strides[static_cast<std::size_t>(i)] =
-            out_strides[static_cast<std::size_t>(i + 1)] * out_shape.dim(i + 1);
-    }
-
-    const std::int64_t n = out_shape.num_elements();
+    const BroadcastWalk walk(out_shape, src_strides);
     auto copy_loop = [&](auto* o, const auto* in) {
-        pool.ParallelFor(n, /*grain=*/2048,
+        pool.ParallelFor(out_shape.num_elements(), /*grain=*/2048,
                          [&](std::int64_t i0, std::int64_t i1) {
-            for (std::int64_t flat = i0; flat < i1; ++flat) {
-                std::int64_t rem = flat;
-                std::int64_t src = 0;
-                for (int d = 0; d < rank; ++d) {
-                    const std::int64_t od =
-                        rem / out_strides[static_cast<std::size_t>(d)];
-                    rem -= od * out_strides[static_cast<std::size_t>(d)];
-                    src += od * src_strides[static_cast<std::size_t>(d)];
-                }
-                o[flat] = in[src];
-            }
+            CopyRows(walk, i0, i1, in, o);
         });
     };
     if (input.dtype() == DType::kFloat32) {
@@ -174,29 +176,17 @@ Slice(const Tensor& input, const std::vector<std::int64_t>& begin,
     const Shape out_shape(out_dims);
     Tensor out(input.dtype(), out_shape);
 
-    std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        in_strides[static_cast<std::size_t>(i)] =
-            in_strides[static_cast<std::size_t>(i + 1)] * in_shape.dim(i + 1);
-        out_strides[static_cast<std::size_t>(i)] =
-            out_strides[static_cast<std::size_t>(i + 1)] * out_shape.dim(i + 1);
+    // Walk the output with the input as the operand, starting at the
+    // slice's first element.
+    const std::vector<std::int64_t> in_strides = RowMajorStrides(in_shape);
+    std::int64_t start = 0;
+    for (int d = 0; d < rank; ++d) {
+        start += begin[static_cast<std::size_t>(d)] *
+                 in_strides[static_cast<std::size_t>(d)];
     }
-
-    const std::int64_t n = out_shape.num_elements();
+    const BroadcastWalk walk(out_shape, in_strides);
     auto copy_loop = [&](auto* o, const auto* in) {
-        for (std::int64_t flat = 0; flat < n; ++flat) {
-            std::int64_t rem = flat;
-            std::int64_t src = 0;
-            for (int d = 0; d < rank; ++d) {
-                const std::int64_t od =
-                    rem / out_strides[static_cast<std::size_t>(d)];
-                rem -= od * out_strides[static_cast<std::size_t>(d)];
-                src += (od + begin[static_cast<std::size_t>(d)]) *
-                       in_strides[static_cast<std::size_t>(d)];
-            }
-            o[flat] = in[src];
-        }
+        CopyRows(walk, 0, out_shape.num_elements(), in + start, o);
     };
     if (input.dtype() == DType::kFloat32) {
         copy_loop(out.data<float>(), input.data<float>());
@@ -317,28 +307,24 @@ Pad(const Tensor& input,
     Tensor out = Tensor::Zeros(Shape(out_dims));
     const Shape& out_shape = out.shape();
 
-    std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        in_strides[static_cast<std::size_t>(i)] =
-            in_strides[static_cast<std::size_t>(i + 1)] * in_shape.dim(i + 1);
-        out_strides[static_cast<std::size_t>(i)] =
-            out_strides[static_cast<std::size_t>(i + 1)] * out_shape.dim(i + 1);
+    // Walk the input with the output as the operand, starting at the
+    // padded region's first element.
+    const std::vector<std::int64_t> out_strides = RowMajorStrides(out_shape);
+    std::int64_t start = 0;
+    for (int d = 0; d < rank; ++d) {
+        start += begin[static_cast<std::size_t>(d)] *
+                 out_strides[static_cast<std::size_t>(d)];
     }
     const float* in = input.data<float>();
-    float* o = out.data<float>();
-    const std::int64_t n = in_shape.num_elements();
-    for (std::int64_t flat = 0; flat < n; ++flat) {
-        std::int64_t rem = flat;
-        std::int64_t dst = 0;
-        for (int d = 0; d < rank; ++d) {
-            const std::int64_t id = rem / in_strides[static_cast<std::size_t>(d)];
-            rem -= id * in_strides[static_cast<std::size_t>(d)];
-            dst += (id + begin[static_cast<std::size_t>(d)]) *
-                   out_strides[static_cast<std::size_t>(d)];
+    float* o = out.data<float>() + start;
+    const BroadcastWalk walk(in_shape, out_strides);
+    const std::int64_t step = walk.stride_a.back();
+    walk.Run(0, in_shape.num_elements(), [&](std::int64_t flat, std::int64_t n,
+                                            std::int64_t off, std::int64_t) {
+        for (std::int64_t i = 0; i < n; ++i) {
+            o[off + i * step] = in[flat + i];
         }
-        o[dst] = in[flat];
-    }
+    });
     (void)pool;
     return out;
 }

@@ -1,8 +1,6 @@
 #include "kernels/elementwise.h"
 
-#include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 namespace fathom::kernels {
 
@@ -29,109 +27,93 @@ BroadcastShape(const Shape& a, const Shape& b)
     return Shape(dims);
 }
 
-Tensor
-UnaryMap(const Tensor& input, const std::function<float(float)>& fn,
-         parallel::ThreadPool& pool, bool may_alias)
+std::vector<std::int64_t>
+RowMajorStrides(const Shape& s)
 {
-    // Aliasing is safe because the loop below reads in[i] before
-    // writing o[i]; with the same partition and the same fn the bits
-    // are identical either way.
-    Tensor out = (may_alias && input.dtype() == DType::kFloat32)
-                     ? input
-                     : Tensor(DType::kFloat32, input.shape());
-    const float* in = input.data<float>();
-    float* o = out.data<float>();
-    pool.ParallelFor(input.num_elements(), /*grain=*/4096,
-                     [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-            o[i] = fn(in[i]);
-        }
-    });
-    return out;
+    std::vector<std::int64_t> strides(static_cast<std::size_t>(s.rank()), 1);
+    for (int i = s.rank() - 2; i >= 0; --i) {
+        strides[static_cast<std::size_t>(i)] =
+            strides[static_cast<std::size_t>(i + 1)] * s.dim(i + 1);
+    }
+    return strides;
 }
 
 namespace {
 
 /**
- * Broadcast element strides of @p s against output shape @p out:
- * stride 0 wherever the input dimension is 1 (broadcast), row-major
- * stride otherwise. Strides are aligned to the output's rank.
+ * Row-major element strides of @p s aligned to @p space's rank: 0
+ * wherever @p s has extent 1 or no dimension (broadcast).
  */
 std::vector<std::int64_t>
-BroadcastStrides(const Shape& s, const Shape& out)
+AlignedStrides(const Shape& s, const Shape& space)
 {
-    const int out_rank = out.rank();
-    std::vector<std::int64_t> strides(static_cast<std::size_t>(out_rank), 0);
-    const int offset = out_rank - s.rank();
-    std::int64_t stride = 1;
-    for (int i = s.rank() - 1; i >= 0; --i) {
+    const int offset = space.rank() - s.rank();
+    if (offset < 0) {
+        throw std::invalid_argument("Cannot broadcast " + s.ToString() +
+                                    " to " + space.ToString());
+    }
+    const std::vector<std::int64_t> own = RowMajorStrides(s);
+    std::vector<std::int64_t> strides(static_cast<std::size_t>(space.rank()),
+                                      0);
+    for (int i = 0; i < s.rank(); ++i) {
         if (s.dim(i) != 1) {
-            strides[static_cast<std::size_t>(i + offset)] = stride;
+            if (s.dim(i) != space.dim(i + offset)) {
+                throw std::invalid_argument("Cannot broadcast " +
+                                            s.ToString() + " to " +
+                                            space.ToString());
+            }
+            strides[static_cast<std::size_t>(i + offset)] =
+                own[static_cast<std::size_t>(i)];
         }
-        stride *= s.dim(i);
     }
     return strides;
 }
 
+/** Drops extent-1 dimensions and merges contiguous neighbours. */
+void
+Collapse(const Shape& space, const std::vector<std::int64_t>& sa,
+         const std::vector<std::int64_t>& sb, BroadcastWalk& walk)
+{
+    for (int d = 0; d < space.rank(); ++d) {
+        const std::int64_t extent = space.dim(d);
+        const std::size_t i = static_cast<std::size_t>(d);
+        if (extent == 1) {
+            continue;
+        }
+        if (!walk.dims.empty() && walk.stride_a.back() == sa[i] * extent &&
+            walk.stride_b.back() == sb[i] * extent) {
+            walk.dims.back() *= extent;
+            walk.stride_a.back() = sa[i];
+            walk.stride_b.back() = sb[i];
+        } else {
+            walk.dims.push_back(extent);
+            walk.stride_a.push_back(sa[i]);
+            walk.stride_b.push_back(sb[i]);
+        }
+    }
+    if (walk.dims.empty()) {
+        walk.dims.push_back(1);
+        walk.stride_a.push_back(0);
+        walk.stride_b.push_back(0);
+    }
+}
+
 }  // namespace
 
-Tensor
-BinaryMap(const Tensor& a, const Tensor& b,
-          const std::function<float(float, float)>& fn,
-          parallel::ThreadPool& pool, bool may_alias)
+BroadcastWalk::BroadcastWalk(const Shape& space, const Shape& a,
+                             const Shape& b)
 {
-    const float* pa = a.data<float>();
-    const float* pb = b.data<float>();
-    const bool alias_ok = may_alias && a.dtype() == DType::kFloat32 &&
-                          b.dtype() == DType::kFloat32;
+    Collapse(space, AlignedStrides(a, space), AlignedStrides(b, space),
+             *this);
+}
 
-    if (a.shape() == b.shape()) {
-        Tensor out = alias_ok ? a : Tensor(DType::kFloat32, a.shape());
-        float* o = out.data<float>();
-        pool.ParallelFor(a.num_elements(), /*grain=*/4096,
-                         [&](std::int64_t i0, std::int64_t i1) {
-            for (std::int64_t i = i0; i < i1; ++i) {
-                o[i] = fn(pa[i], pb[i]);
-            }
-        });
-        return out;
-    }
-
-    const Shape out_shape = BroadcastShape(a.shape(), b.shape());
-    // Broadcast path: aliasing needs out slot i to correspond to a's
-    // element i (true exactly when a already has the output shape, so
-    // off_a == flat and each slot is read before written).
-    Tensor out = (alias_ok && out_shape == a.shape())
-                     ? a
-                     : Tensor(DType::kFloat32, out_shape);
-    float* o = out.data<float>();
-    const int rank = out_shape.rank();
-    const auto sa = BroadcastStrides(a.shape(), out_shape);
-    const auto sb = BroadcastStrides(b.shape(), out_shape);
-    const std::int64_t n = out_shape.num_elements();
-
-    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        out_strides[static_cast<std::size_t>(i)] =
-            out_strides[static_cast<std::size_t>(i + 1)] * out_shape.dim(i + 1);
-    }
-
-    pool.ParallelFor(n, /*grain=*/2048, [&](std::int64_t i0, std::int64_t i1) {
-        std::vector<std::int64_t> idx(static_cast<std::size_t>(rank));
-        for (std::int64_t flat = i0; flat < i1; ++flat) {
-            std::int64_t rem = flat;
-            std::int64_t off_a = 0;
-            std::int64_t off_b = 0;
-            for (int d = 0; d < rank; ++d) {
-                const std::int64_t od = rem / out_strides[static_cast<std::size_t>(d)];
-                rem -= od * out_strides[static_cast<std::size_t>(d)];
-                off_a += od * sa[static_cast<std::size_t>(d)];
-                off_b += od * sb[static_cast<std::size_t>(d)];
-            }
-            o[flat] = fn(pa[off_a], pb[off_b]);
-        }
-    });
-    return out;
+BroadcastWalk::BroadcastWalk(const Shape& space,
+                             const std::vector<std::int64_t>& sa)
+{
+    Collapse(space, sa,
+             std::vector<std::int64_t>(static_cast<std::size_t>(space.rank()),
+                                       0),
+             *this);
 }
 
 Tensor
@@ -140,54 +122,11 @@ ReduceToShape(const Tensor& from, const Shape& to, parallel::ThreadPool& pool)
     if (from.shape() == to) {
         return from;
     }
-    const Shape& fs = from.shape();
-    const int rank = fs.rank();
-    const int offset = rank - to.rank();
-    if (offset < 0) {
-        throw std::invalid_argument("ReduceToShape: target rank larger than source");
-    }
-
+    // Serial: a parallel split would need a fixed per-cell order across
+    // chunks to stay bit-identical.
     Tensor out = Tensor::Zeros(to);
-    const float* in = from.data<float>();
-    float* o = out.data<float>();
-
-    // Strides of the target, aligned against the source rank; broadcast
-    // (or missing-leading) dimensions get stride 0 so all their source
-    // entries accumulate into one cell.
-    std::vector<std::int64_t> to_strides(static_cast<std::size_t>(rank), 0);
-    {
-        std::int64_t stride = 1;
-        for (int i = to.rank() - 1; i >= 0; --i) {
-            if (to.dim(i) != 1) {
-                if (to.dim(i) != fs.dim(i + offset)) {
-                    throw std::invalid_argument(
-                        "ReduceToShape: " + fs.ToString() +
-                        " does not broadcast-reduce to " + to.ToString());
-                }
-                to_strides[static_cast<std::size_t>(i + offset)] = stride;
-            }
-            stride *= to.dim(i);
-        }
-    }
-    std::vector<std::int64_t> from_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        from_strides[static_cast<std::size_t>(i)] =
-            from_strides[static_cast<std::size_t>(i + 1)] * fs.dim(i + 1);
-    }
-
-    // Serial accumulation (scatter pattern); reductions of this kind
-    // are small compared to the ops producing their inputs.
-    const std::int64_t n = fs.num_elements();
-    for (std::int64_t flat = 0; flat < n; ++flat) {
-        std::int64_t rem = flat;
-        std::int64_t off = 0;
-        for (int d = 0; d < rank; ++d) {
-            const std::int64_t fd = rem / from_strides[static_cast<std::size_t>(d)];
-            rem -= fd * from_strides[static_cast<std::size_t>(d)];
-            off += fd * to_strides[static_cast<std::size_t>(d)];
-        }
-        o[off] += in[flat];
-    }
+    ReduceWalk(from.shape(), to, from.data<float>(), out.data<float>(),
+               [](float sum, float x) { return sum + x; });
     (void)pool;
     return out;
 }

@@ -5,6 +5,10 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+
+#include "kernels/elementwise.h"
 
 namespace fathom::kernels {
 
@@ -30,36 +34,20 @@ Reduce(const Tensor& input, ReduceOp op, const std::vector<int>& axes,
         }
     }
 
+    // kept_dims is the output with reduced axes as extent 1: the operand
+    // that broadcasts over them when the input is walked.
     std::vector<std::int64_t> out_dims;
+    std::vector<std::int64_t> kept_dims;
+    kept_dims.reserve(static_cast<std::size_t>(rank));
     for (int i = 0; i < rank; ++i) {
-        if (reduce_axes.count(i)) {
-            if (keep_dims) {
-                out_dims.push_back(1);
-            }
-        } else {
-            out_dims.push_back(in_shape.dim(i));
+        const bool reduced = reduce_axes.count(i) > 0;
+        kept_dims.push_back(reduced ? 1 : in_shape.dim(i));
+        if (!reduced || keep_dims) {
+            out_dims.push_back(kept_dims.back());
         }
     }
     const Shape out_shape(out_dims);
-
-    // Map each input element to its output cell via per-axis strides
-    // (stride 0 on reduced axes).
-    std::vector<std::int64_t> out_strides_by_axis(
-        static_cast<std::size_t>(rank), 0);
-    {
-        std::int64_t stride = 1;
-        for (int i = rank - 1; i >= 0; --i) {
-            if (!reduce_axes.count(i)) {
-                out_strides_by_axis[static_cast<std::size_t>(i)] = stride;
-                stride *= in_shape.dim(i);
-            }
-        }
-    }
-    std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        in_strides[static_cast<std::size_t>(i)] =
-            in_strides[static_cast<std::size_t>(i + 1)] * in_shape.dim(i + 1);
-    }
+    const Shape kept_shape(kept_dims);
 
     Tensor out = Tensor::Full(
         out_shape, op == ReduceOp::kMax
@@ -67,30 +55,21 @@ Reduce(const Tensor& input, ReduceOp op, const std::vector<int>& axes,
                        : 0.0f);
     const float* in = input.data<float>();
     float* o = out.data<float>();
-    const std::int64_t n = input.num_elements();
     const std::int64_t out_n = out.num_elements();
 
     // Sum/mean accumulate in double: a float accumulator loses low
     // bits once the running sum dwarfs the addends, which is routine
     // for the million-element activation reductions in vgg/residual.
     std::vector<double> acc;
-    if (op != ReduceOp::kMax) {
+    if (op == ReduceOp::kMax) {
+        ReduceWalk(in_shape, kept_shape, in, o,
+                   [](float m, float x) { return std::max(m, x); });
+    } else {
         acc.assign(static_cast<std::size_t>(out_n), 0.0);
-    }
-    for (std::int64_t flat = 0; flat < n; ++flat) {
-        std::int64_t rem = flat;
-        std::int64_t off = 0;
-        for (int d = 0; d < rank; ++d) {
-            const std::int64_t id = rem / in_strides[static_cast<std::size_t>(d)];
-            rem -= id * in_strides[static_cast<std::size_t>(d)];
-            off += id * out_strides_by_axis[static_cast<std::size_t>(d)];
-        }
-        if (op == ReduceOp::kMax) {
-            o[off] = std::max(o[off], in[flat]);
-        } else {
-            acc[static_cast<std::size_t>(off)] +=
-                static_cast<double>(in[flat]);
-        }
+        ReduceWalk(in_shape, kept_shape, in, acc.data(),
+                   [](double sum, float x) {
+                       return sum + static_cast<double>(x);
+                   });
     }
 
     if (op != ReduceOp::kMax) {
@@ -208,53 +187,54 @@ ArgMaxLastDim(const Tensor& input, parallel::ThreadPool& pool)
     return out;
 }
 
+namespace {
+
+/**
+ * Splits every dimension d of a tiling into (multiple, extent), which
+ * makes Tile a broadcast and TileGrad a ReduceToShape: @return the
+ * input's split shape [1,d0,1,d1,...] and the tiled split shape
+ * [1,m0,d0,m1,d1,...]. Tiled flat index q*d + r of a dimension is
+ * (q, r) in the split one. The tiled shape's extra leading 1 keeps the
+ * two shapes apart when every multiple is 1, so TileGrad still sums
+ * each cell from +0 (turning -0.0 into +0.0) instead of passing the
+ * gradient through.
+ */
+std::pair<Shape, Shape>
+SplitTiling(const Shape& in_shape, const std::vector<std::int64_t>& multiples,
+            const std::string& op)
+{
+    if (static_cast<int>(multiples.size()) != in_shape.rank()) {
+        throw std::invalid_argument(op + ": multiples rank mismatch");
+    }
+    std::vector<std::int64_t> source;
+    std::vector<std::int64_t> tiled = {1};
+    for (int i = 0; i < in_shape.rank(); ++i) {
+        const std::int64_t m = multiples[static_cast<std::size_t>(i)];
+        if (m < 1) {
+            throw std::invalid_argument(op + ": multiples must be >= 1");
+        }
+        source.insert(source.end(), {1, in_shape.dim(i)});
+        tiled.insert(tiled.end(), {m, in_shape.dim(i)});
+    }
+    return {Shape(source), Shape(tiled)};
+}
+
+}  // namespace
+
 Tensor
 Tile(const Tensor& input, const std::vector<std::int64_t>& multiples,
      parallel::ThreadPool& pool)
 {
-    const Shape& in_shape = input.shape();
-    const int rank = in_shape.rank();
-    if (static_cast<int>(multiples.size()) != rank) {
-        throw std::invalid_argument("Tile: multiples rank mismatch");
+    const auto [source, tiled] = SplitTiling(input.shape(), multiples, "Tile");
+    std::vector<std::int64_t> out_dims;
+    out_dims.reserve(multiples.size());
+    for (int i = 0; i < input.shape().rank(); ++i) {
+        out_dims.push_back(input.shape().dim(i) *
+                           multiples[static_cast<std::size_t>(i)]);
     }
-    std::vector<std::int64_t> out_dims(static_cast<std::size_t>(rank));
-    for (int i = 0; i < rank; ++i) {
-        if (multiples[static_cast<std::size_t>(i)] < 1) {
-            throw std::invalid_argument("Tile: multiples must be >= 1");
-        }
-        out_dims[static_cast<std::size_t>(i)] =
-            in_shape.dim(i) * multiples[static_cast<std::size_t>(i)];
-    }
-    const Shape out_shape(out_dims);
-    Tensor out(DType::kFloat32, out_shape);
-    const float* in = input.data<float>();
-    float* o = out.data<float>();
-
-    std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        in_strides[static_cast<std::size_t>(i)] =
-            in_strides[static_cast<std::size_t>(i + 1)] * in_shape.dim(i + 1);
-        out_strides[static_cast<std::size_t>(i)] =
-            out_strides[static_cast<std::size_t>(i + 1)] * out_shape.dim(i + 1);
-    }
-
-    const std::int64_t n = out_shape.num_elements();
-    pool.ParallelFor(n, /*grain=*/2048, [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t flat = i0; flat < i1; ++flat) {
-            std::int64_t rem = flat;
-            std::int64_t src = 0;
-            for (int d = 0; d < rank; ++d) {
-                const std::int64_t od =
-                    rem / out_strides[static_cast<std::size_t>(d)];
-                rem -= od * out_strides[static_cast<std::size_t>(d)];
-                src += (od % in_shape.dim(d)) *
-                       in_strides[static_cast<std::size_t>(d)];
-            }
-            o[flat] = in[src];
-        }
-    });
-    return out;
+    return BroadcastMap(input.Reshape(source), tiled,
+                        [](float x) { return x; }, pool)
+        .Reshape(Shape(out_dims));
 }
 
 Tensor
@@ -262,37 +242,10 @@ TileGrad(const Tensor& grad_out, const Shape& input_shape,
          const std::vector<std::int64_t>& multiples,
          parallel::ThreadPool& pool)
 {
-    const int rank = input_shape.rank();
-    if (static_cast<int>(multiples.size()) != rank) {
-        throw std::invalid_argument("TileGrad: multiples rank mismatch");
-    }
-    Tensor grad_in = Tensor::Zeros(input_shape);
-    const Shape& out_shape = grad_out.shape();
-    const float* go = grad_out.data<float>();
-    float* gi = grad_in.data<float>();
-
-    std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        in_strides[static_cast<std::size_t>(i)] =
-            in_strides[static_cast<std::size_t>(i + 1)] * input_shape.dim(i + 1);
-        out_strides[static_cast<std::size_t>(i)] =
-            out_strides[static_cast<std::size_t>(i + 1)] * out_shape.dim(i + 1);
-    }
-    const std::int64_t n = out_shape.num_elements();
-    for (std::int64_t flat = 0; flat < n; ++flat) {
-        std::int64_t rem = flat;
-        std::int64_t dst = 0;
-        for (int d = 0; d < rank; ++d) {
-            const std::int64_t od = rem / out_strides[static_cast<std::size_t>(d)];
-            rem -= od * out_strides[static_cast<std::size_t>(d)];
-            dst += (od % input_shape.dim(d)) *
-                   in_strides[static_cast<std::size_t>(d)];
-        }
-        gi[dst] += go[flat];
-    }
-    (void)pool;
-    return grad_in;
+    const auto [source, tiled] =
+        SplitTiling(input_shape, multiples, "TileGrad");
+    return ReduceToShape(grad_out.Reshape(tiled), source, pool)
+        .Reshape(input_shape);
 }
 
 }  // namespace fathom::kernels

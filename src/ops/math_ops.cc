@@ -140,53 +140,54 @@ AttrParams(OpContext& ctx, const std::vector<std::string>& attrs)
 }
 
 /**
- * Registers a broadcasting binary op and its fusion stage. All
- * elementwise ops support in-place output into input 0 when granted.
+ * Registers a broadcasting binary op and its fusion stage. @p Fn is a
+ * template argument so the op kernel's loop calls it directly; the
+ * fusion stage holds the same function's pointer. All elementwise ops
+ * support in-place output into input 0 when granted.
  */
+template <float (*Fn)(float, float, const float*)>
 void
-RegisterBinary(const std::string& name,
-               float (*fn)(float, float, const float*),
-               double flops_per_elem,
+RegisterBinary(const std::string& name, double flops_per_elem,
                std::vector<std::string> param_attrs = {})
 {
     OpRegistry::Global().Register(OpDef{
         name, OpClass::kElementwise,
-        [fn, param_attrs](OpContext& ctx) {
+        [param_attrs](OpContext& ctx) {
             const std::vector<float> params = AttrParams(ctx, param_attrs);
             const float* p = params.data();
             ctx.set_output(
                 0, kernels::BinaryMap(
                        ctx.input(0), ctx.input(1),
-                       [fn, p](float a, float b) { return fn(a, b, p); },
+                       [p](float a, float b) { return Fn(a, b, p); },
                        ctx.pool(), ctx.may_alias_input()));
         },
         ElementwiseCost(flops_per_elem), false, /*supports_inplace=*/true});
     RegisterBinaryShapeFn(name, param_attrs);
     FusionStageRegistry::Global().Register(
-        name, FusionStage{2, nullptr, fn, std::move(param_attrs),
+        name, FusionStage{2, nullptr, Fn, std::move(param_attrs),
                           flops_per_elem});
 }
 
-/** Registers a unary op and its fusion stage. */
+/** Registers a unary op and its fusion stage; see RegisterBinary. */
+template <float (*Fn)(float, const float*)>
 void
-RegisterUnary(const std::string& name, float (*fn)(float, const float*),
-              double flops_per_elem,
+RegisterUnary(const std::string& name, double flops_per_elem,
               std::vector<std::string> param_attrs = {})
 {
     OpRegistry::Global().Register(OpDef{
         name, OpClass::kElementwise,
-        [fn, param_attrs](OpContext& ctx) {
+        [param_attrs](OpContext& ctx) {
             const std::vector<float> params = AttrParams(ctx, param_attrs);
             const float* p = params.data();
             ctx.set_output(0, kernels::UnaryMap(
                                   ctx.input(0),
-                                  [fn, p](float x) { return fn(x, p); },
+                                  [p](float x) { return Fn(x, p); },
                                   ctx.pool(), ctx.may_alias_input()));
         },
         ElementwiseCost(flops_per_elem), false, /*supports_inplace=*/true});
     RegisterUnaryShapeFn(name, param_attrs);
     FusionStageRegistry::Global().Register(
-        name, FusionStage{1, fn, nullptr, std::move(param_attrs),
+        name, FusionStage{1, Fn, nullptr, std::move(param_attrs),
                           flops_per_elem});
 }
 
@@ -205,22 +206,22 @@ RegisterMathOps()
     OpRegistry& ops = OpRegistry::Global();
     GradientRegistry& grads = GradientRegistry::Global();
 
-    RegisterBinary("Add", AddS, 1.0);
-    RegisterBinary("Sub", SubS, 1.0);
-    RegisterBinary("Mul", MulS, 1.0);
-    RegisterBinary("Div", DivS, 4.0);
+    RegisterBinary<AddS>("Add", 1.0);
+    RegisterBinary<SubS>("Sub", 1.0);
+    RegisterBinary<MulS>("Mul", 1.0);
+    RegisterBinary<DivS>("Div", 4.0);
 
-    RegisterUnary("Neg", NegS, 1.0);
-    RegisterUnary("Exp", ExpS, 10.0);
-    RegisterUnary("Log", LogS, 10.0);
-    RegisterUnary("Sqrt", SqrtS, 4.0);
-    RegisterUnary("Square", SquareS, 1.0);
-    RegisterUnary("Relu", ReluS, 1.0);
-    RegisterUnary("Sigmoid", SigmoidS, 12.0);
-    RegisterUnary("Tanh", TanhS, 12.0);
+    RegisterUnary<NegS>("Neg", 1.0);
+    RegisterUnary<ExpS>("Exp", 10.0);
+    RegisterUnary<LogS>("Log", 10.0);
+    RegisterUnary<SqrtS>("Sqrt", 4.0);
+    RegisterUnary<SquareS>("Square", 1.0);
+    RegisterUnary<ReluS>("Relu", 1.0);
+    RegisterUnary<SigmoidS>("Sigmoid", 12.0);
+    RegisterUnary<TanhS>("Tanh", 12.0);
 
-    RegisterUnary("Pow", PowS, 20.0, {"exponent"});
-    RegisterUnary("ClipByValue", ClipS, 2.0, {"clip_min", "clip_max"});
+    RegisterUnary<PowS>("Pow", 20.0, {"exponent"});
+    RegisterUnary<ClipS>("ClipByValue", 2.0, {"clip_min", "clip_max"});
 
     ops.Register(OpDef{
         "AddN", OpClass::kElementwise,
@@ -262,11 +263,11 @@ RegisterMathOps()
 
     // Gradient helper ops (elementwise, appear in backward profiles).
     // inputs: (grad, x) / (grad, y = forward output).
-    RegisterBinary("ReluGrad", ReluGradS, 1.0);
-    RegisterBinary("SigmoidGrad", SigmoidGradS, 3.0);
-    RegisterBinary("TanhGrad", TanhGradS, 3.0);
-    RegisterBinary("ClipByValueGrad", ClipGradS, 2.0,
-                   {"clip_min", "clip_max"});
+    RegisterBinary<ReluGradS>("ReluGrad", 1.0);
+    RegisterBinary<SigmoidGradS>("SigmoidGrad", 3.0);
+    RegisterBinary<TanhGradS>("TanhGrad", 3.0);
+    RegisterBinary<ClipGradS>("ClipByValueGrad", 2.0,
+                              {"clip_min", "clip_max"});
 
     // The adjoint of broadcasting: reduce grad down to ref's shape.
     ops.Register(OpDef{

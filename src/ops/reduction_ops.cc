@@ -142,28 +142,30 @@ RegisterReductionOps()
                     axes.insert(i);
                 }
             }
-            // Restore reduced axes as extent-1 dims, then tile out.
+            // Restore reduced axes as extent-1 dims, then broadcast
+            // out in one pass, applying the mean's scale on the way.
             std::vector<std::int64_t> keep_shape;
-            std::vector<std::int64_t> multiples;
             std::int64_t count = 1;
             for (int i = 0; i < rank; ++i) {
                 if (axes.count(i)) {
                     keep_shape.push_back(1);
-                    multiples.push_back(ref.dim(i));
                     count *= ref.dim(i);
                 } else {
                     keep_shape.push_back(ref.dim(i));
-                    multiples.push_back(1);
                 }
             }
-            Tensor grad = ctx.input(0).Reshape(Shape(keep_shape));
-            Tensor expanded = kernels::Tile(grad, multiples, ctx.pool());
+            const Tensor grad = ctx.input(0).Reshape(Shape(keep_shape));
             if (ctx.node().attr_bool("mean", false) && count > 0) {
                 const float inv = 1.0f / static_cast<float>(count);
-                expanded = kernels::UnaryMap(
-                    expanded, [inv](float x) { return x * inv; }, ctx.pool());
+                ctx.set_output(0, kernels::BroadcastMap(
+                                      grad, ref,
+                                      [inv](float x) { return x * inv; },
+                                      ctx.pool()));
+            } else {
+                ctx.set_output(0, kernels::BroadcastMap(
+                                      grad, ref, [](float x) { return x; },
+                                      ctx.pool()));
             }
-            ctx.set_output(0, std::move(expanded));
         },
         SerialCost(1.0), false});
 

@@ -417,40 +417,56 @@ TEST(GraphVerifyTelemetryTest, CountsRunsAndViolations)
 
 TEST(VerifyOverheadTest, PlanBuildVerificationWithinBudget)
 {
-    // The adoption contract: verification-on session construction
-    // (setup + first plan build, where the verifier actually runs) may
-    // cost at most ~1% over verification-off. Modes are interleaved
-    // within each repetition and compared min-to-min so a background
-    // hiccup cannot fail the build; a small absolute floor absorbs
-    // timer quantization (bench/bench_verify sweeps the same contract
-    // at larger shapes).
+    // The adoption contract: a plan build with verification on (the
+    // first step of a fetch set, where the verifier actually runs) may
+    // cost at most ~1% over one with verification off. One instance is
+    // timed: each repetition adds an unreachable node, which bumps the
+    // graph generation so the next step replans, and flips the
+    // session's verification flag, alternating which mode goes first.
+    // Batches are produced inline (no producer thread to schedule
+    // around) and a small absolute floor absorbs timer quantization
+    // (bench/bench_verify sweeps the same contract at larger shapes).
     workloads::RegisterAllWorkloads();
 
-    auto construct = [](bool verify) {
-        workloads::WorkloadConfig config;
-        config.batch_size = 2;
-        config.graph_verification = verify;
-        auto workload =
-            workloads::WorkloadRegistry::Global().Create("alexnet");
+    workloads::WorkloadConfig config;
+    config.batch_size = 2;
+    config.prefetch_depth = 0;
+    auto workload = workloads::WorkloadRegistry::Global().Create("alexnet");
+    workload->Setup(config);
+    workload->RunTraining(1);  // warm code paths and the allocator once.
+    runtime::Session& session = workload->session();
+    graph::GraphBuilder builder(&session.graph(), &session.variables());
+
+    auto first_step = [&](bool verify) {
+        builder.ScalarConst(0.0f, "replan");
+        session.SetVerification(verify);
         const auto start = std::chrono::steady_clock::now();
-        workload->Setup(config);
-        workload->RunTraining(1);  // first plan build: the verify site.
+        workload->RunTraining(1);
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - start)
             .count();
     };
-    construct(true);  // warm code paths and the allocator once.
 
-    constexpr int kReps = 5;
-    double off_best = 1e300;
-    double on_best = 1e300;
+    // Each repetition times both modes back to back; the budget is
+    // checked on the median of those paired differences, so a host
+    // phase that slows one repetition slows both of its modes.
+    constexpr int kReps = 21;
+    std::vector<double> off_times;
+    std::vector<double> extra;
     for (int rep = 0; rep < kReps; ++rep) {
-        off_best = std::min(off_best, construct(false));
-        on_best = std::min(on_best, construct(true));
+        const bool on_first = rep % 2 == 1;
+        double seconds[2] = {0.0, 0.0};
+        for (const bool verify : {on_first, !on_first}) {
+            seconds[verify ? 1 : 0] = first_step(verify);
+        }
+        off_times.push_back(seconds[0]);
+        extra.push_back(seconds[1] - seconds[0]);
     }
-    EXPECT_LE(on_best, off_best * 1.01 + 1e-3)
-        << "verify-on best " << on_best * 1e3 << " ms vs verify-off best "
-        << off_best * 1e3 << " ms";
+    const double off = test::Median(off_times);
+    const double cost = test::Median(extra);
+    EXPECT_LE(cost, off * 0.01 + 1e-3)
+        << "verify-on costs " << cost * 1e3 << " ms more (median of "
+        << kReps << " pairs) than verify-off's " << off * 1e3 << " ms";
 }
 
 }  // namespace

@@ -5,8 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -19,6 +23,7 @@
 #include "kernels/pooling.h"
 #include "kernels/reduction.h"
 #include "parallel/thread_pool.h"
+#include "tensor/rng.h"
 #include "test_util.h"
 
 namespace fathom::kernels {
@@ -591,6 +596,552 @@ TEST(ElementwiseTest, ReduceToShapeIdentity)
 {
     const Tensor t = Tensor::FromVector({1, 2});
     ExpectTensorNear(t, ReduceToShape(t, t.shape(), Pool()));
+}
+
+// ---- elementwise oracle battery (ctest label: kernels) -------------------
+//
+// The reference kernels below are the div/mod broadcast map and the
+// scatter reduction the collapsed-walk kernels replaced, kept verbatim
+// in behaviour: one index decomposition and one std::function call per
+// element. The kernels must match them byte for byte.
+
+std::vector<std::int64_t>
+RefBroadcastStrides(const Shape& s, const Shape& out)
+{
+    const int out_rank = out.rank();
+    std::vector<std::int64_t> strides(static_cast<std::size_t>(out_rank), 0);
+    const int offset = out_rank - s.rank();
+    std::int64_t stride = 1;
+    for (int i = s.rank() - 1; i >= 0; --i) {
+        if (s.dim(i) != 1) {
+            strides[static_cast<std::size_t>(i + offset)] = stride;
+        }
+        stride *= s.dim(i);
+    }
+    return strides;
+}
+
+std::vector<std::int64_t>
+RefRowMajorStrides(const Shape& s)
+{
+    const int rank = s.rank();
+    std::vector<std::int64_t> strides(static_cast<std::size_t>(rank), 1);
+    for (int i = rank - 2; i >= 0; --i) {
+        strides[static_cast<std::size_t>(i)] =
+            strides[static_cast<std::size_t>(i + 1)] * s.dim(i + 1);
+    }
+    return strides;
+}
+
+Tensor
+RefBinaryMap(const Tensor& a, const Tensor& b,
+             const std::function<float(float, float)>& fn)
+{
+    const float* pa = a.data<float>();
+    const float* pb = b.data<float>();
+    const Shape out_shape = BroadcastShape(a.shape(), b.shape());
+    Tensor out(DType::kFloat32, out_shape);
+    float* o = out.data<float>();
+    const int rank = out_shape.rank();
+    const auto sa = RefBroadcastStrides(a.shape(), out_shape);
+    const auto sb = RefBroadcastStrides(b.shape(), out_shape);
+    const auto out_strides = RefRowMajorStrides(out_shape);
+    for (std::int64_t flat = 0; flat < out_shape.num_elements(); ++flat) {
+        std::int64_t rem = flat;
+        std::int64_t off_a = 0;
+        std::int64_t off_b = 0;
+        for (int d = 0; d < rank; ++d) {
+            const auto u = static_cast<std::size_t>(d);
+            const std::int64_t od = rem / out_strides[u];
+            rem -= od * out_strides[u];
+            off_a += od * sa[u];
+            off_b += od * sb[u];
+        }
+        o[flat] = fn(pa[off_a], pb[off_b]);
+    }
+    return out;
+}
+
+Tensor
+RefReduceToShape(const Tensor& from, const Shape& to)
+{
+    if (from.shape() == to) {
+        return from;
+    }
+    const Shape& fs = from.shape();
+    const int rank = fs.rank();
+    const int offset = rank - to.rank();
+    Tensor out = Tensor::Zeros(to);
+    const float* in = from.data<float>();
+    float* o = out.data<float>();
+    std::vector<std::int64_t> to_strides(static_cast<std::size_t>(rank), 0);
+    std::int64_t stride = 1;
+    for (int i = to.rank() - 1; i >= 0; --i) {
+        if (to.dim(i) != 1) {
+            to_strides[static_cast<std::size_t>(i + offset)] = stride;
+        }
+        stride *= to.dim(i);
+    }
+    const auto from_strides = RefRowMajorStrides(fs);
+    for (std::int64_t flat = 0; flat < fs.num_elements(); ++flat) {
+        std::int64_t rem = flat;
+        std::int64_t off = 0;
+        for (int d = 0; d < rank; ++d) {
+            const auto u = static_cast<std::size_t>(d);
+            const std::int64_t fd = rem / from_strides[u];
+            rem -= fd * from_strides[u];
+            off += fd * to_strides[u];
+        }
+        o[off] += in[flat];
+    }
+    return out;
+}
+
+/** The scatter Reduce: double sums (scaled for mean) or float max. */
+Tensor
+RefReduce(const Tensor& input, ReduceOp op, const std::vector<int>& axes)
+{
+    const Shape& in_shape = input.shape();
+    const int rank = in_shape.rank();
+    std::vector<std::int64_t> kept;
+    std::int64_t count = 1;
+    for (int i = 0; i < rank; ++i) {
+        const bool reduced =
+            axes.empty() ||
+            std::find(axes.begin(), axes.end(), i) != axes.end();
+        kept.push_back(reduced ? 1 : in_shape.dim(i));
+        count *= reduced ? in_shape.dim(i) : 1;
+    }
+    const Shape kept_shape(kept);
+    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 0);
+    std::int64_t stride = 1;
+    for (int i = rank - 1; i >= 0; --i) {
+        if (kept_shape.dim(i) != 1) {
+            out_strides[static_cast<std::size_t>(i)] = stride;
+        }
+        stride *= kept_shape.dim(i);
+    }
+    const auto in_strides = RefRowMajorStrides(in_shape);
+    std::vector<double> acc(static_cast<std::size_t>(kept_shape.num_elements()),
+                            0.0);
+    Tensor out = Tensor::Full(
+        kept_shape, op == ReduceOp::kMax
+                        ? -std::numeric_limits<float>::infinity()
+                        : 0.0f);
+    float* o = out.data<float>();
+    const float* in = input.data<float>();
+    for (std::int64_t flat = 0; flat < in_shape.num_elements(); ++flat) {
+        std::int64_t rem = flat;
+        std::int64_t off = 0;
+        for (int d = 0; d < rank; ++d) {
+            const auto u = static_cast<std::size_t>(d);
+            const std::int64_t id = rem / in_strides[u];
+            rem -= id * in_strides[u];
+            off += id * out_strides[u];
+        }
+        if (op == ReduceOp::kMax) {
+            o[off] = std::max(o[off], in[flat]);
+        } else {
+            acc[static_cast<std::size_t>(off)] +=
+                static_cast<double>(in[flat]);
+        }
+    }
+    if (op != ReduceOp::kMax) {
+        const double scale =
+            op == ReduceOp::kMean && count > 0 ? 1.0 / count : 1.0;
+        for (std::size_t i = 0; i < acc.size(); ++i) {
+            o[i] = static_cast<float>(acc[i] * scale);
+        }
+    }
+    return out;
+}
+
+/** The div/mod Tile loop (and, with @p adjoint, its scatter TileGrad). */
+Tensor
+RefTile(const Tensor& input, const Shape& in_shape, const Shape& out_shape,
+        bool adjoint)
+{
+    const int rank = in_shape.rank();
+    const auto in_strides = RefRowMajorStrides(in_shape);
+    const auto out_strides = RefRowMajorStrides(out_shape);
+    Tensor out = Tensor::Zeros(adjoint ? in_shape : out_shape);
+    const float* src = input.data<float>();
+    float* dst = out.data<float>();
+    for (std::int64_t flat = 0; flat < out_shape.num_elements(); ++flat) {
+        std::int64_t rem = flat;
+        std::int64_t off = 0;
+        for (int d = 0; d < rank; ++d) {
+            const auto u = static_cast<std::size_t>(d);
+            const std::int64_t od = rem / out_strides[u];
+            rem -= od * out_strides[u];
+            off += (od % in_shape.dim(d)) * in_strides[u];
+        }
+        if (adjoint) {
+            dst[off] += src[flat];
+        } else {
+            dst[flat] = src[off];
+        }
+    }
+    return out;
+}
+
+/**
+ * Shape, dtype and every byte equal (NaN payloads and -0.0 included).
+ * With @p any_nan_payload, a NaN matches any NaN.
+ */
+::testing::AssertionResult
+BitIdentical(const Tensor& expected, const Tensor& actual,
+             bool any_nan_payload = false)
+{
+    if (expected.shape() != actual.shape()) {
+        return ::testing::AssertionFailure()
+               << "shape " << actual.shape().ToString() << " vs expected "
+               << expected.shape().ToString();
+    }
+    const std::size_t bytes =
+        static_cast<std::size_t>(expected.num_elements()) * sizeof(float);
+    if (bytes != 0 && std::memcmp(expected.data<float>(),
+                                  actual.data<float>(), bytes) != 0) {
+        for (std::int64_t i = 0; i < expected.num_elements(); ++i) {
+            std::uint32_t e = 0;
+            std::uint32_t g = 0;
+            std::memcpy(&e, expected.data<float>() + i, sizeof(e));
+            std::memcpy(&g, actual.data<float>() + i, sizeof(g));
+            const bool both_nan = std::isnan(expected.data<float>()[i]) &&
+                                  std::isnan(actual.data<float>()[i]);
+            if (e != g && !(any_nan_payload && both_nan)) {
+                char bits[64];
+                std::snprintf(bits, sizeof(bits),
+                              "bits 0x%08x vs expected 0x%08x", g, e);
+                return ::testing::AssertionFailure()
+                       << "first differing element " << i << " of "
+                       << expected.shape().ToString() << ": " << bits;
+            }
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * A reduction's running sum can meet two different NaNs (an input's and
+ * the default NaN of Inf + -Inf); which payload survives depends on the
+ * operand order the compiler picks for the commutative add, and differs
+ * between builds (it does under ASan). Reductions therefore let a NaN
+ * cell match any NaN; every other bit, -0.0 included, is compared.
+ */
+constexpr bool kSumsMeetNaNs = true;
+
+/**
+ * One NaN bit pattern per generated case: a quiet NaN, one with a
+ * payload, or a negative one with a payload. A case never mixes two
+ * patterns, because which payload survives NaN (+) NaN depends on the
+ * operand order the compiler picks for a commutative add, which the
+ * language leaves open; a single pattern must come through unchanged.
+ */
+std::uint32_t
+PickNan(Rng& rng)
+{
+    static const std::array<std::uint32_t, 3> kNans = {
+        0x7fc00000u, 0x7fc01234u, 0xffc00001u};
+    return kNans[static_cast<std::size_t>(rng.UniformInt(kNans.size()))];
+}
+
+/**
+ * Normal samples with special values mixed in: @p nan_bits NaNs, both
+ * infinities, both zeros, a denormal.
+ */
+Tensor
+OracleTensor(const Shape& shape, Rng& rng, std::uint32_t nan_bits)
+{
+    const std::array<std::uint32_t, 6> specials = {
+        nan_bits,     // NaN
+        0x7f800000u,  // +Inf
+        0xff800000u,  // -Inf
+        0x80000000u,  // -0.0
+        0x00000000u,  // +0.0
+        0x00000007u,  // denormal
+    };
+    Tensor t(DType::kFloat32, shape);
+    float* p = t.data<float>();
+    for (std::int64_t i = 0; i < t.num_elements(); ++i) {
+        if (rng.UniformInt(6) == 0) {
+            std::memcpy(p + i,
+                        &specials[static_cast<std::size_t>(
+                            rng.UniformInt(specials.size()))],
+                        sizeof(float));
+        } else {
+            p[i] = rng.Normal();
+        }
+    }
+    return t;
+}
+
+/**
+ * @p full with the dims whose bit is set in @p ones_mask forced to 1
+ * and its first @p drop dims removed (a lower-rank operand).
+ */
+Shape
+OperandShape(const Shape& full, unsigned ones_mask, int drop)
+{
+    std::vector<std::int64_t> dims;
+    for (int d = drop; d < full.rank(); ++d) {
+        dims.push_back(((ones_mask >> d) & 1u) != 0u ? 1 : full.dim(d));
+    }
+    return Shape(dims);
+}
+
+/** One generated operand pair: a and b broadcast to @p space. */
+struct OraclePair {
+    Shape space;
+    Shape a;
+    Shape b;
+};
+
+/**
+ * Operand pairs from fixed seeds for ranks 0-5: every pair of size-1
+ * masks at ranks up to 3 (sampled above), lower-rank operands, scalars,
+ * and zero extents.
+ */
+std::vector<OraclePair>
+OraclePairs()
+{
+    std::vector<OraclePair> pairs;
+    Rng rng(20240615);
+    static const std::array<std::int64_t, 6> kExtents = {1, 2, 3, 4, 5, 7};
+    for (int rank = 0; rank <= 5; ++rank) {
+        for (int draw = 0; draw < 4; ++draw) {
+            std::vector<std::int64_t> dims;
+            for (int d = 0; d < rank; ++d) {
+                dims.push_back(kExtents[static_cast<std::size_t>(
+                    rng.UniformInt(kExtents.size()))]);
+            }
+            if (draw == 3 && rank > 0) {
+                dims[static_cast<std::size_t>(rng.UniformInt(rank))] = 0;
+            }
+            const Shape space(dims);
+            const unsigned masks = 1u << rank;
+            const bool exhaustive = rank <= 3;
+            const int samples = exhaustive ? static_cast<int>(masks * masks)
+                                           : 96;
+            for (int s = 0; s < samples; ++s) {
+                const unsigned ma =
+                    exhaustive ? static_cast<unsigned>(s) % masks
+                               : static_cast<unsigned>(rng.UniformInt(masks));
+                const unsigned mb =
+                    exhaustive ? static_cast<unsigned>(s) / masks
+                               : static_cast<unsigned>(rng.UniformInt(masks));
+                const int da = static_cast<int>(rng.UniformInt(rank + 1));
+                const int db = static_cast<int>(rng.UniformInt(rank + 1));
+                // Operands keep their own extents; the space is their
+                // broadcast (a dim every operand sets to 1 shrinks).
+                const Shape a = OperandShape(space, ma, (ma & 1u) ? da : 0);
+                const Shape b = OperandShape(space, mb, (mb & 1u) ? db : 0);
+                pairs.push_back({BroadcastShape(a, b), a, b});
+            }
+        }
+    }
+    // Conv-output shapes with a bias, and [N,1] (+) [1,C], large
+    // enough that a multi-thread pool splits rows mid-way.
+    pairs.push_back({Shape{4, 17, 9, 33}, Shape{4, 17, 9, 33}, Shape{33}});
+    pairs.push_back({Shape{4, 17, 9, 33}, Shape{33}, Shape{4, 17, 9, 33}});
+    pairs.push_back({Shape{97, 61}, Shape{97, 1}, Shape{1, 61}});
+    pairs.push_back({Shape{3, 1, 5, 7, 2, 6}, Shape{3, 1, 5, 1, 2, 1},
+                     Shape{5, 7, 1, 6}});
+    return pairs;
+}
+
+parallel::ThreadPool&
+WidePool()
+{
+    static parallel::ThreadPool pool(3);
+    return pool;
+}
+
+const std::vector<std::pair<const char*, float (*)(float, float)>>&
+OracleFns()
+{
+    static const std::vector<std::pair<const char*, float (*)(float, float)>>
+        fns = {
+            {"add", [](float x, float y) { return x + y; }},
+            {"sub", [](float x, float y) { return x - y; }},
+            {"mul", [](float x, float y) { return x * y; }},
+            {"div", [](float x, float y) { return x / y; }},
+            {"max", [](float x, float y) { return x > y ? x : y; }},
+        };
+    return fns;
+}
+
+TEST(ElementwiseOracleBattery, BinaryMapMatchesDivModReference)
+{
+    Rng rng(7);
+    int checked = 0;
+    for (const OraclePair& p : OraclePairs()) {
+        const std::uint32_t nan = PickNan(rng);
+        const Tensor a = OracleTensor(p.a, rng, nan);
+        const Tensor b = OracleTensor(p.b, rng, nan);
+        for (const auto& [name, fn] : OracleFns()) {
+            const Tensor want = RefBinaryMap(a, b, fn);
+            for (parallel::ThreadPool* pool : {&Pool(), &WidePool()}) {
+                ASSERT_TRUE(BitIdentical(
+                    want, BinaryMap(
+                              a, b,
+                              [fn](float x, float y) { return fn(x, y); },
+                              *pool)))
+                    << name << " " << p.a.ToString() << " (+) "
+                    << p.b.ToString() << " threads " << pool->num_threads();
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, 10000);
+}
+
+TEST(ElementwiseOracleBattery, AliasedBinaryMapMatchesReference)
+{
+    // In place: the output takes a's buffer only when the output shape
+    // is a's shape; otherwise the flag is ignored.
+    Rng rng(8);
+    for (const OraclePair& p : OraclePairs()) {
+        const std::uint32_t nan = PickNan(rng);
+        const Tensor a = OracleTensor(p.a, rng, nan);
+        const Tensor b = OracleTensor(p.b, rng, nan);
+        for (const auto& [name, fn] : OracleFns()) {
+            const Tensor want = RefBinaryMap(a, b, fn);
+            for (parallel::ThreadPool* pool : {&Pool(), &WidePool()}) {
+                Tensor victim = a.Clone();
+                const float* before = victim.data<float>();
+                const Tensor got = BinaryMap(
+                    victim, b, [fn](float x, float y) { return fn(x, y); },
+                    *pool, /*may_alias=*/true);
+                ASSERT_TRUE(BitIdentical(want, got))
+                    << name << " " << p.a.ToString() << " (+) "
+                    << p.b.ToString() << " in place";
+                EXPECT_EQ(got.data<float>() == before,
+                          want.shape() == p.a)
+                    << p.a.ToString() << " (+) " << p.b.ToString();
+            }
+        }
+    }
+}
+
+TEST(ElementwiseOracleBattery, ReduceToShapeMatchesScatterReference)
+{
+    Rng rng(9);
+    int checked = 0;
+    for (const OraclePair& p : OraclePairs()) {
+        const Tensor grad = OracleTensor(p.space, rng, PickNan(rng));
+        for (const Shape& to : {p.a, p.b}) {
+            for (parallel::ThreadPool* pool : {&Pool(), &WidePool()}) {
+                ASSERT_TRUE(BitIdentical(RefReduceToShape(grad, to),
+                                         ReduceToShape(grad, to, *pool),
+                                         kSumsMeetNaNs))
+                    << p.space.ToString() << " -> " << to.ToString();
+                ++checked;
+            }
+        }
+    }
+    // The reductions a bias, a column and a full sum take.
+    const Tensor nhwc = OracleTensor(Shape{4, 17, 9, 33}, rng, PickNan(rng));
+    for (const Shape& to : {Shape{33}, Shape{4, 1, 1, 1}, Shape{}}) {
+        ASSERT_TRUE(BitIdentical(RefReduceToShape(nhwc, to),
+                                 ReduceToShape(nhwc, to, WidePool()),
+                                 kSumsMeetNaNs))
+            << to.ToString();
+    }
+    const Tensor rows = OracleTensor(Shape{97, 61}, rng, PickNan(rng));
+    for (const Shape& to : {Shape{97, 1}, Shape{61}, Shape{}}) {
+        ASSERT_TRUE(BitIdentical(RefReduceToShape(rows, to),
+                                 ReduceToShape(rows, to, Pool()),
+                                 kSumsMeetNaNs))
+            << to.ToString();
+    }
+    EXPECT_GT(checked, 4000);
+}
+
+TEST(ElementwiseOracleBattery, ReduceMatchesScatterReference)
+{
+    // Reduce walks its input with the kept-dims output as the operand;
+    // each generated operand shape doubles as a set of reduced axes.
+    Rng rng(12);
+    int checked = 0;
+    for (const OraclePair& p : OraclePairs()) {
+        std::vector<int> axes;
+        const int offset = p.space.rank() - p.a.rank();
+        for (int d = 0; d < p.space.rank(); ++d) {
+            if (d < offset || p.a.dim(d - offset) == 1) {
+                axes.push_back(d);
+            }
+        }
+        if (axes.empty() && p.space.rank() > 0) {
+            continue;  // an empty axes list means "all axes".
+        }
+        const Tensor x = OracleTensor(p.space, rng, PickNan(rng));
+        for (ReduceOp op : {ReduceOp::kSum, ReduceOp::kMean, ReduceOp::kMax}) {
+            const Tensor want = RefReduce(x, op, axes);
+            const Tensor got = Reduce(x, op, axes, /*keep_dims=*/true, Pool());
+            ASSERT_TRUE(BitIdentical(want, got, kSumsMeetNaNs))
+                << p.space.ToString() << " over " << axes.size() << " axes";
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 1000);
+}
+
+TEST(ElementwiseOracleBattery, TileAndTileGradMatchReference)
+{
+    // Tile is a broadcast and TileGrad a ReduceToShape once each
+    // dimension is split into (multiple, extent).
+    Rng rng(11);
+    for (int rank = 0; rank <= 4; ++rank) {
+        for (int draw = 0; draw < 24; ++draw) {
+            std::vector<std::int64_t> dims;
+            std::vector<std::int64_t> multiples;
+            std::vector<std::int64_t> tiled;
+            for (int d = 0; d < rank; ++d) {
+                dims.push_back(rng.UniformInt(4));
+                multiples.push_back(1 + rng.UniformInt(3));
+                tiled.push_back(dims.back() * multiples.back());
+            }
+            const Shape in_shape(dims);
+            const Shape out_shape(tiled);
+            const Tensor x = OracleTensor(in_shape, rng, PickNan(rng));
+            const Tensor g = OracleTensor(out_shape, rng, PickNan(rng));
+            for (parallel::ThreadPool* pool : {&Pool(), &WidePool()}) {
+                ASSERT_TRUE(BitIdentical(
+                    RefTile(x, in_shape, out_shape, false),
+                    Tile(x, multiples, *pool)))
+                    << in_shape.ToString() << " -> " << out_shape.ToString();
+                ASSERT_TRUE(BitIdentical(
+                    RefTile(g, in_shape, out_shape, true),
+                    TileGrad(g, in_shape, multiples, *pool), kSumsMeetNaNs))
+                    << out_shape.ToString() << " -> " << in_shape.ToString();
+            }
+        }
+    }
+}
+
+TEST(ElementwiseOracleBattery, BroadcastMapMatchesReference)
+{
+    // ReduceSumGrad's one pass: broadcast a kept-dims gradient to the
+    // reference shape and scale it.
+    Rng rng(10);
+    const float inv = 1.0f / 3.0f;
+    for (const OraclePair& p : OraclePairs()) {
+        const Tensor x = OracleTensor(p.a, rng, PickNan(rng));
+        const Tensor want = RefBinaryMap(
+            x, Tensor::Zeros(p.space),
+            [inv](float v, float) { return v * inv; });
+        for (parallel::ThreadPool* pool : {&Pool(), &WidePool()}) {
+            ASSERT_TRUE(BitIdentical(
+                want, BroadcastMap(x, p.space,
+                                   [inv](float v) { return v * inv; },
+                                   *pool)))
+                << p.a.ToString() << " -> " << p.space.ToString();
+        }
+    }
+    EXPECT_THROW(BroadcastMap(Tensor::Zeros(Shape{3}), Shape{2, 4},
+                              [](float v) { return v; }, Pool()),
+                 std::invalid_argument);
 }
 
 TEST(ReductionTest, ReduceSumAxes)

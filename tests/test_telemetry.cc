@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "analysis/roofline.h"
 #include "core/suite.h"
 #include "runtime/tracer.h"
 #include "telemetry/exporters.h"
 #include "telemetry/metrics.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace fathom {
@@ -235,42 +237,47 @@ TEST(TelemetryWorkloadTest, MetricsCaptureExecutorAndAllocatorActivity)
 
 TEST(TelemetryOverheadTest, MetricsOffCostsUnderBudgetVsDark)
 {
-    // The ISSUE's hot-path contract: with tracing off, enabling the
-    // metrics registry may cost at most ~2% step time. Modes are
-    // interleaved within each repetition and compared min-to-min so a
-    // background hiccup cannot fail the build; a small absolute floor
+    // The hot-path contract: with tracing off, enabling the
+    // metrics registry may cost at most ~2% step time. One instance is
+    // timed with the global gate flipped between interleaved
+    // repetitions (the order alternating), so both modes share its
+    // buffers, plans and cache state. Batches are produced inline (no
+    // producer thread to schedule around) and a small absolute floor
     // absorbs timer quantization at these small shapes.
     workloads::RegisterAllWorkloads();
 
-    auto make = [](bool telemetry) {
-        workloads::WorkloadConfig config;
-        config.batch_size = 2;
-        config.telemetry = telemetry;
-        auto w = workloads::WorkloadRegistry::Global().Create("alexnet");
-        w->Setup(config);
-        w->RunTraining(1);  // warm variables and the buffer pool.
-        return w;
-    };
-    auto dark = make(false);
-    auto metered = make(true);
+    workloads::WorkloadConfig config;
+    config.batch_size = 2;
+    config.prefetch_depth = 0;
+    config.telemetry = true;
+    auto w = workloads::WorkloadRegistry::Global().Create("alexnet");
+    w->Setup(config);
+    w->RunTraining(1);  // warm variables and the buffer pool.
 
-    constexpr int kReps = 5;
+    // Each repetition times both modes back to back; the budget is
+    // checked on the median of those paired differences, so a host
+    // phase that slows one repetition slows both of its modes.
+    constexpr int kReps = 21;
     constexpr int kSteps = 2;
-    double dark_best = 1e300;
-    double metered_best = 1e300;
+    std::vector<double> dark_times;
+    std::vector<double> extra;
     for (int rep = 0; rep < kReps; ++rep) {
-        telemetry::MetricsRegistry::set_enabled(false);
-        dark_best =
-            std::min(dark_best, dark->RunTraining(kSteps).wall_seconds);
-        telemetry::MetricsRegistry::set_enabled(true);
-        metered_best = std::min(metered_best,
-                                metered->RunTraining(kSteps).wall_seconds);
+        const bool metered_first = rep % 2 == 1;
+        double seconds[2] = {0.0, 0.0};
+        for (const bool metered : {metered_first, !metered_first}) {
+            telemetry::MetricsRegistry::set_enabled(metered);
+            seconds[metered ? 1 : 0] = w->RunTraining(kSteps).wall_seconds;
+        }
+        dark_times.push_back(seconds[0]);
+        extra.push_back(seconds[1] - seconds[0]);
     }
     telemetry::MetricsRegistry::set_enabled(false);
 
-    EXPECT_LE(metered_best, dark_best * 1.02 + 1e-3)
-        << "metrics-on best " << metered_best * 1e3 << " ms vs dark best "
-        << dark_best * 1e3 << " ms";
+    const double dark = test::Median(dark_times);
+    const double cost = test::Median(extra);
+    EXPECT_LE(cost, dark * 0.02 + 1e-3)
+        << "metrics-on costs " << cost * 1e3 << " ms more (median of "
+        << kReps << " pairs) than dark's " << dark * 1e3 << " ms";
 }
 
 class RooflineTest : public ::testing::TestWithParam<const char*> {};

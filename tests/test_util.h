@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <functional>
 #include <map>
 #include <string>
@@ -92,6 +94,16 @@ RandomTensor(const Shape& shape, std::uint64_t seed = 42, float scale = 1.0f)
     Tensor t(DType::kFloat32, shape);
     rng.FillNormal(&t, 0.0f, scale);
     return t;
+}
+
+/** @return the median of @p values (the upper one for an even count). */
+inline double
+Median(std::vector<double> values)
+{
+    const auto mid =
+        values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+    std::nth_element(values.begin(), mid, values.end());
+    return *mid;
 }
 
 }  // namespace fathom::test
